@@ -8,7 +8,9 @@ locking safe are enforced by nothing off the shelf. This linter checks
 them:
 
   R1 validate-on-exit   Every optimistic read section (AcquireSh /
-                        ReadLockOrRestart / ReadLockNode) must reach a
+                        ReadLockOrRestart / ReadLockNode / ReadLockLeaf,
+                        the B+-tree descent that returns a leaf with its
+                        read hold still open) must reach a
                         validation (ReleaseSh / Validate / TryUpgrade)
                         before any `return` and before the function ends.
                         Restart edges (`continue`, `break`, `goto`) are
@@ -33,10 +35,10 @@ them:
   R5 version-dataflow   The version variable handed to a validation
                         (ReleaseSh / Validate / TryUpgrade) must be one a
                         matching acquire (AcquireSh / ReadLockOrRestart /
-                        ReadLockNode) actually filled, or a plain copy of
-                        one (`pv = v;` descent handover). Validating a
-                        never-filled or stale word compares against
-                        garbage and silently disables the protocol.
+                        ReadLockNode / ReadLockLeaf) actually filled, or a
+                        plain copy of one (`pv = v;` descent handover).
+                        Validating a never-filled or stale word compares
+                        against garbage and silently disables the protocol.
                         Compound-expression arguments are conservatively
                         skipped; only plain identifiers are checked.
   R6 occ-write-before-validate
@@ -114,8 +116,11 @@ HELPER_NAME_RE = re.compile(
 # R1/R2 section openers and closers. `AcquireSh` is only an opener as a
 # member call (`x.AcquireSh(` / `x->AcquireSh(`): `POps::AcquireSh(lock,
 # slot)` is the pessimistic coupling facade, checked by TSA instead.
+# `ReadLockLeaf(` returns a leaf whose read hold its caller must validate;
+# the `ReadLockLeaf<false>(` form stops above the leaf, opens nothing, and
+# deliberately does not match.
 OPENER_RE = re.compile(
-    r"(?<![:\w])(?:ReadLockOrRestart|ReadLockNode)\s*\(|"
+    r"(?<![:\w])(?:ReadLockOrRestart|ReadLockNode|ReadLockLeaf)\s*\(|"
     r"(?:\.|->)AcquireSh\s*\(")
 CLOSER_RE = re.compile(
     r"(?<![:\w])(?:Validate\w*)\s*\(|"
@@ -160,8 +165,8 @@ RETIRE_CALL_RE = re.compile(r"(?<![:\w])Retire\w*\s*(<[^<>]*>)?\s*\(")
 # identifier shape and are skipped (conservative: R5 never guesses).
 VERSION_FILL_RES = (
     re.compile(r"(?:\.|->)AcquireSh\s*\(\s*&?\s*(\w+)\s*\)"),
-    re.compile(r"(?<![:\w])(?:ReadLockOrRestart|ReadLockNode)\s*"
-               r"\((?:[^()]|\([^()]*\))*?,\s*&?\s*(\w+)\s*\)"),
+    re.compile(r"(?<![:\w])(?:ReadLockOrRestart|ReadLockNode|ReadLockLeaf)"
+               r"\s*\((?:[^()]|\([^()]*\))*?,\s*&?\s*(\w+)\s*\)"),
     re.compile(r"\bStableVersion\s*"
                r"\((?:[^()]|\([^()]*\))*?,\s*&?\s*(\w+)\s*\)"),
 )
@@ -297,6 +302,30 @@ class Function:
         return self.body_line + self.body.count("\n", 0, offset)
 
 
+def strip_template_heads(head):
+    """Drops `template <...>` parameter lists (nesting included) from a
+    head, so the `class` of `template <class Lock>` does not make a
+    function template look like a class definition."""
+    out = []
+    i = 0
+    for m in re.finditer(r"\btemplate\s*<", head):
+        if m.start() < i:
+            continue
+        out.append(head[i:m.start()])
+        depth, j = 0, m.end() - 1
+        while j < len(head):
+            if head[j] == "<":
+                depth += 1
+            elif head[j] == ">":
+                depth -= 1
+                if depth == 0:
+                    break
+            j += 1
+        i = j + 1
+    out.append(head[i:])
+    return "".join(out)
+
+
 def extract_functions(stripped):
     """Finds function definitions by brace matching over stripped text.
 
@@ -319,7 +348,8 @@ def extract_functions(stripped):
             kind = "block"
             name = None
             if in_code:
-                if NON_FUNC_HEAD_RE.search(head) and "(" not in head.split(
+                if NON_FUNC_HEAD_RE.search(strip_template_heads(head)) and \
+                        "(" not in head.split(
                         "(")[0].rsplit("operator", 1)[-1] and re.search(
                             r"\b(class|struct|union|enum)\b", head):
                     kind = "class"
@@ -517,7 +547,7 @@ def check_version_dataflow(path, func, allow, findings):
             path, line, "version-dataflow",
             "version variable '%s' passed to a validation was never "
             "filled by a matching acquire (AcquireSh/ReadLockOrRestart/"
-            "ReadLockNode) nor copied from one" % var))
+            "ReadLockNode/ReadLockLeaf) nor copied from one" % var))
 
 
 def retire_spans(body):

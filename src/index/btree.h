@@ -30,6 +30,10 @@
 // merges is reclaimed once all concurrent readers have moved on (same
 // scheme ART uses for node growth).
 //
+// The protocols differ only in how writers lock: every read (Lookup, Scan,
+// batch lanes, transaction reads) and every optimistic write descent walks
+// one descent whose per-node read hold is a property of the lock family.
+//
 // Concurrency discipline for optimistic readers: a value read from a node
 // (child pointer, key, count) may be torn by a concurrent writer; it is
 // therefore *never dereferenced or trusted* until the node's version has
@@ -167,11 +171,7 @@ class BTree {
   // Point lookup; copies the value into `out`.
   bool Lookup(const Key& key, Value& out) const {
     EpochGuard guard;
-    if constexpr (kProtocol == BTreeProtocol::kCoupling) {
-      return LookupCoupling(key, out);
-    } else {
-      return LookupOptimistic(key, out);
-    }
+    return ReadRecord(key, out);
   }
 
   // Interleave bounds for LookupBatch: the lane ring lives on the stack,
@@ -187,8 +187,10 @@ class BTree {
   // written for every i; `values[i]` only where `found[i]` is true.
   // Returns the number of hits. Results are identical to calling Lookup
   // per key in batch order. Not available for the pessimistic coupling
-  // protocol (its lock-handover descent cannot be suspended mid-node), so
-  // coupling trees fall back to the generic loop in index_ops.h.
+  // protocol: a lane parked mid-descent would keep its shared holds across
+  // the other lanes' turns, and the lanes would share the thread's
+  // queue-node slots. Coupling trees fall back to the generic loop in
+  // index_ops.h.
   size_t LookupBatch(const Key* keys, size_t n, Value* values, bool* found,
                      size_t interleave = kDefaultBatchLanes) const
     requires(kProtocol != BTreeProtocol::kCoupling)
@@ -203,7 +205,7 @@ class BTree {
       // batches where lane bookkeeping costs more than it hides.
       size_t hits = 0;
       for (size_t i = 0; i < n; ++i) {
-        found[i] = LookupOptimistic(keys[i], values[i]);
+        found[i] = ReadRecord(keys[i], values[i]);
         if (found[i]) ++hits;
       }
       return hits;
@@ -218,10 +220,49 @@ class BTree {
     out.clear();
     if (limit == 0) return 0;
     EpochGuard guard;
-    if constexpr (kProtocol == BTreeProtocol::kCoupling) {
-      return ScanCoupling(start, limit, out);
-    } else {
-      return ScanOptimistic(start, limit, out);
+    RestartCounter restarts(read_restarts_);
+    while (true) {
+      out.clear();
+      ReadHold hold;
+      Leaf* leaf = ReadLockLeaf(start, &restarts, hold);
+      bool consistent = true;
+      while (true) {
+        // Read the successor first and start pulling it in while this
+        // leaf's batch is copied; the (possibly torn) pointer is only
+        // chased after the check below succeeds.
+        Leaf* next = leaf->next;
+        if (next != nullptr) PrefetchNodeHeader(next);
+        const uint16_t n = LoadCount(leaf, kLeafMax);
+        std::pair<Key, Value> batch[Leaf::kMax];
+        uint16_t batch_size = 0;
+        for (uint16_t i = leaf->LowerBound(start, n); i < n; ++i) {
+          batch[batch_size++] = {leaf->keys[i], leaf->values[i]};
+        }
+        if (!ValidateHold(leaf->lock, hold)) {
+          consistent = false;
+          break;
+        }
+        for (uint16_t i = 0; i < batch_size && out.size() < limit; ++i) {
+          out.push_back(batch[i]);
+        }
+        if (next == nullptr || out.size() >= limit) break;
+        // Hand over exactly like a descent step: the current leaf is
+        // re-checked after `next` is held. Leaf rotations move keys across
+        // this boundary with only version bumps (no obsolete mark), so
+        // without the re-check a rotation landing between the batch check
+        // above and the next-leaf hold could make the scan miss a key
+        // (moved next->current) or return one twice (moved current->next).
+        ReadHold next_hold;
+        if (!EnterNode(leaf, hold, next, next_hold)) {
+          consistent = false;
+          break;
+        }
+        leaf = next;
+        hold = next_hold;
+      }
+      if (!consistent) continue;
+      ReleaseHold(leaf->lock, hold);
+      return out.size();
     }
   }
 
@@ -418,6 +459,15 @@ class BTree {
     uint16_t LowerBound(const Key& key, uint16_t n) const {
       return simd::LowerBound(keys, n, key);
     }
+
+    // Point search under a possibly racy count (clamped by LoadCount):
+    // sets `pos` to the lower bound of `key` and returns whether the key
+    // sits there.
+    bool Find(const Key& key, uint16_t& pos) const {
+      const uint16_t n = LoadCount(this, kLeafMax);
+      pos = LowerBound(key, n);
+      return pos < n && keys[pos] == key;
+    }
   };
 
   struct alignas(kCachelineSize) Inner : NodeBase {
@@ -533,29 +583,75 @@ class BTree {
     return n > max ? max : n;
   }
 
-  // --- Optimistic read-lock helpers (OLC and OptiQL protocols) ---
+  // --- Read holds: one read descent for every lock family ---
   //
-  // ReadLockOrRestart spins until the lock admits readers and returns the
-  // snapshot, or reports failure once the node is marked obsolete (it was
-  // merged away; spinning would never end because a retired lock admits no
-  // reader). Validate re-checks the snapshot. All version access goes
-  // through the TxnOps<Lock> contract (sync/txn_ops.h), so any versioned
-  // lock family works here and the transaction layer validates against the
-  // very same words.
+  // A reader keeps a read hold on the node it stands on. What the hold is
+  // follows from the node's lock family (TxnOps<Lock>::kVersioned), so the
+  // three protocols share one read descent:
+  //
+  //   * Versioned (OptLock, OptiQL): a version snapshot `v`. Opening spins
+  //     while a writer holds the word and fails once the node is obsolete
+  //     (merged away; a retired lock admits no reader). A failed check
+  //     restarts the operation; release is a no-op.
+  //   * Reader-writer (MCS-RW, pthread; the coupling protocol): the lock
+  //     taken shared in queue-node slot `slot`. Opening blocks writers out,
+  //     so the check is trivially true; release is UnlockSh.
+  //
+  // All lock access goes through the TxnOps<Lock> contract (sync/txn_ops.h),
+  // so the transaction layer validates against the very same words. The
+  // shared-mode legs opt out of thread-safety analysis like the coupling
+  // write path below.
+
+  struct ReadHold {
+    uint64_t v = 0;  // Version snapshot (versioned families).
+    int slot = 0;    // Queue-node slot of the shared hold (reader-writer).
+  };
 
   template <class Lock>
-  static bool ReadLockOrRestart(const Lock& lock, uint64_t& v) {
-    SpinWait wait;
-    while (!TxnOps<Lock>::StableVersion(lock, v)) {
-      if (TxnOps<Lock>::IsObsolete(lock)) return false;
-      wait.Spin();
+  static bool ReadLockHold(Lock& lock,
+                           ReadHold& hold) OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
+    if constexpr (TxnOps<Lock>::kVersioned) {
+      SpinWait wait;
+      while (!TxnOps<Lock>::StableVersion(lock, hold.v)) {
+        if (TxnOps<Lock>::IsObsolete(lock)) return false;
+        wait.Spin();
+      }
+    } else {
+      TxnOps<Lock>::LockSh(lock, hold.slot);
     }
     return true;
   }
 
-  static bool ReadLockNode(const NodeBase* node, uint64_t& v) {
-    return IsLeaf(node) ? ReadLockOrRestart(AsLeaf(node)->lock, v)
-                        : ReadLockOrRestart(AsInner(node)->lock, v);
+  template <class Lock>
+  static bool ValidateHold(const Lock& lock,
+                           [[maybe_unused]] const ReadHold& hold) {
+    if constexpr (TxnOps<Lock>::kVersioned) {
+      return Validate(lock, hold.v);
+    } else {
+      return true;
+    }
+  }
+
+  template <class Lock>
+  static void ReleaseHold([[maybe_unused]] Lock& lock,
+                          [[maybe_unused]] const ReadHold& hold)
+      OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
+    if constexpr (!TxnOps<Lock>::kVersioned) {
+      TxnOps<Lock>::UnlockSh(lock, hold.slot);
+    }
+  }
+
+  static bool ReadLockNode(NodeBase* node, ReadHold& hold) {
+    return IsLeaf(node) ? ReadLockHold(AsLeaf(node)->lock, hold)
+                        : ReadLockHold(AsInner(node)->lock, hold);
+  }
+
+  static void ReleaseNode(NodeBase* node, const ReadHold& hold) {
+    if (IsLeaf(node)) {
+      ReleaseHold(AsLeaf(node)->lock, hold);
+    } else {
+      ReleaseHold(AsInner(node)->lock, hold);
+    }
   }
 
   template <class Lock>
@@ -604,57 +700,111 @@ class BTree {
     TxnOps<Lock>::UnlockExObsolete(lock, typename TxnOps<Lock>::ExHandle{});
   }
 
-  // --- Optimistic traversal ---
+  // Opens a read hold (slot 0) on `node`, just loaded from root_, and
+  // re-checks that it is still the root: a split or a collapse may have
+  // replaced it between the load and the hold. False = restart.
+  bool ReadLockRoot(NodeBase* node, ReadHold& hold) const {
+    hold.slot = 0;
+    if (!ReadLockNode(node, hold)) return false;
+    if (node == root_.load(std::memory_order_acquire)) return true;
+    ReleaseNode(node, hold);
+    return false;
+  }
 
-  bool LookupOptimistic(const Key& key, Value& out) const {
+  // Descent step 1, peek: reads the child of `inner` covering `key`,
+  // prefetches it, then checks the inner's hold. Returns the child, now a
+  // trustworthy pointer, or nullptr (restart). The prefetch overlaps the
+  // child's cache miss with the check and cannot fault on a torn pointer.
+  // `whole_leaf` warms all of a leaf child, not just its header: batch
+  // lanes search that leaf a full ring turn later.
+  static NodeBase* PeekChild(Inner* inner, const Key& key,
+                             const ReadHold& hold, bool whole_leaf = false) {
+    const uint16_t n = LoadCount(inner, kInnerMax);
+    NodeBase* child = inner->children[inner->ChildIndex(key, n)];
+    if (whole_leaf && inner->level == 1) {
+      PrefetchLines<kLeafLines>(child);
+    } else {
+      PrefetchNodeHeader(child);
+    }
+    return ValidateHold(inner->lock, hold) ? child : nullptr;
+  }
+
+  // Descent step 2, enter: the one step that moves a reader onto a node,
+  // whether the peeked child during a descent or a leaf's right sibling
+  // during a scan. Opens the node's read hold, then checks and releases the
+  // hold on `from`. For versioned holds the re-check makes the two reads
+  // mutually consistent; shared holds go hand over hand (the node is held
+  // before `from` is let go). False = restart; only versioned holds fail,
+  // and dropping one is free.
+  template <class From>
+  static bool EnterNode(From* from, const ReadHold& from_hold, NodeBase* node,
+                        ReadHold& hold) {
+    hold.slot = 1 - from_hold.slot;
+    if (!ReadLockNode(node, hold)) return false;
+    const bool consistent = ValidateHold(from->lock, from_hold);
+    ReleaseHold(from->lock, from_hold);
+    return consistent;
+  }
+
+  // The read descent: root to the leaf covering `key`, peeking and then
+  // entering each child. Returns the leaf with its hold open in `hold`. A
+  // failed step restarts from the root; `restarts` (may be null) ticks once
+  // per attempt. With kEnterLeaf false it stops without opening the leaf's
+  // hold, for callers that may hold that leaf exclusively (a version read
+  // would spin on their own lock). That leaf is only parent-validated: it
+  // covered `key` when the last inner's hold was checked.
+  template <bool kEnterLeaf = true>
+  Leaf* ReadLockLeaf(const Key& key, RestartCounter* restarts,
+                     ReadHold& hold) const {
+    while (true) {
+      if (restarts != nullptr) restarts->Tick();
+      NodeBase* node = root_.load(std::memory_order_acquire);
+      if constexpr (!kEnterLeaf) {
+        // A stale root leaf is caught by the caller's coverage checks.
+        if (IsLeaf(node)) return AsLeaf(node);
+      }
+      if (!ReadLockRoot(node, hold)) continue;
+      while (true) {
+        if (IsLeaf(node)) return AsLeaf(node);
+        Inner* inner = AsInner(node);
+        NodeBase* child = PeekChild(inner, key, hold);
+        if (child == nullptr) break;
+        if constexpr (!kEnterLeaf) {
+          // `child` is trustworthy now; its level field is immutable.
+          if (IsLeaf(child)) {
+            ReleaseHold(inner->lock, hold);
+            return AsLeaf(child);
+          }
+        }
+        ReadHold child_hold;
+        if (!EnterNode(inner, hold, child, child_hold)) break;
+        node = child;
+        hold = child_hold;
+      }
+    }
+  }
+
+  // The point read behind Lookup, LookupBatch's single-key loop and
+  // TxnRead: whether `key` is present, with its value copied into `out` on
+  // a hit (untouched on a miss). With `lock` set it also reports the leaf's
+  // lock and the version the search validated, for OCC commit checks.
+  bool ReadRecord(const Key& key, Value& out, const LeafLock** lock = nullptr,
+                  uint64_t* version = nullptr) const {
     RestartCounter restarts(read_restarts_);
     while (true) {
-      restarts.Tick();
-      NodeBase* node = root_.load(std::memory_order_acquire);
-      uint64_t v;
-      if (!ReadLockNode(node, v)) continue;
-      if (node != root_.load(std::memory_order_acquire)) continue;
-
-      bool restart = false;
-      while (!IsLeaf(node)) {
-        const Inner* inner = AsInner(node);
-        const uint16_t n = LoadCount(inner, kInnerMax);
-        NodeBase* child = inner->children[inner->ChildIndex(key, n)];
-        // Overlap the child's cache miss with the parent validation; the
-        // pointer may be torn, but prefetch cannot fault and the value is
-        // only dereferenced after the validation below succeeds.
-        PrefetchNodeHeader(child);
-        if (!Validate(inner->lock, v)) {
-          restart = true;
-          break;
-        }
-        // `child` is now trustworthy; read its version, then re-validate
-        // the parent so the two reads are mutually consistent.
-        uint64_t cv;
-        if (!ReadLockNode(child, cv)) {
-          restart = true;
-          break;
-        }
-        if (!Validate(inner->lock, v)) {
-          restart = true;
-          break;
-        }
-        node = child;
-        v = cv;
-      }
-      if (restart) continue;
-
-      const Leaf* leaf = AsLeaf(node);
-      const uint16_t n = LoadCount(leaf, kLeafMax);
-      const uint16_t pos = leaf->LowerBound(key, n);
-      bool found = false;
+      ReadHold hold;
+      Leaf* leaf = ReadLockLeaf(key, &restarts, hold);
+      uint16_t pos;
+      const bool found = leaf->Find(key, pos);
       Value value{};
-      if (pos < n && leaf->keys[pos] == key) {
-        found = true;
-        value = leaf->values[pos];
-      }
-      if (!Validate(leaf->lock, v)) continue;
+      if (found) value = leaf->values[pos];
+      if (!ValidateHold(leaf->lock, hold)) continue;
+      ReleaseHold(leaf->lock, hold);
       if (found) out = value;
+      if (lock != nullptr) {
+        *lock = &leaf->lock;
+        *version = hold.v;
+      }
       return found;
     }
   }
@@ -662,43 +812,33 @@ class BTree {
   // --- Interleaved (AMAC-style) batched descent ---
   //
   // Each in-flight lookup is a small state machine (a "lane"). A lane is
-  // always in one of two states: it either computes and PREFETCHES the
-  // next child under a validated parent snapshot, or it ENTERS a child it
-  // prefetched on its previous turn by version-locking it and
-  // re-validating the parent — exactly the LookupOptimistic protocol,
-  // split at the prefetch point. The scheduler visits the lanes
-  // round-robin, so between issuing a lane's prefetch and touching that
-  // memory it advances every other lane; that turns one serial cache-miss
-  // chain per descent into `lane_count` overlapping ones. A validation
-  // failure restarts only the failing lane from the root — the rest of
-  // the group never stalls.
+  // always in one of two states, the two steps of the read descent taken on
+  // separate turns: it either PEEKS the next child under its validated
+  // parent hold (PeekChild, which issues the prefetch), or it ENTERS the
+  // child it peeked on its previous turn (EnterNode). The scheduler visits
+  // the lanes round-robin, so between issuing a lane's prefetch and
+  // touching that memory it advances every other lane; that turns one
+  // serial cache-miss chain per descent into `lane_count` overlapping ones.
+  // A validation failure restarts only the failing lane from the root; the
+  // rest of the group never stalls.
 
   struct BatchLane {
-    const NodeBase* node = nullptr;   // Position (validated snapshot).
-    const NodeBase* child = nullptr;  // Prefetched, not yet entered.
-    uint64_t v = 0;                   // Version snapshot of `node`.
-    size_t op = 0;                    // Index into the caller's batch.
-    bool entering = false;            // Next step: enter `child`.
+    NodeBase* node = nullptr;   // Position (read hold open).
+    NodeBase* child = nullptr;  // Peeked and prefetched, not yet entered.
+    ReadHold hold;              // Read hold on `node`.
+    size_t op = 0;              // Index into the caller's batch.
+    bool entering = false;      // Next step: enter `child`.
     bool active = false;
   };
 
-  // (Re)points a lane at the root with a fresh version snapshot. Named
-  // into the read-lock helper family on purpose: the open snapshot it
-  // returns with is validated by the lane's next scheduler step.
+  // (Re)points a lane at the root with a fresh read hold. Named into the
+  // read-lock helper family on purpose: the open hold it returns with is
+  // validated by the lane's next scheduler step.
   void ReadLockRootLane(BatchLane& lane) const {
-    while (true) {
-      const NodeBase* node = root_.load(std::memory_order_acquire);
-      uint64_t v;
-      if (!ReadLockNode(node, v)) continue;
-      // The root may have been replaced (split / collapse) between the
-      // pointer load and the snapshot; re-check identity like
-      // LookupOptimistic does.
-      if (node != root_.load(std::memory_order_acquire)) continue;
-      lane.node = node;
-      lane.v = v;
-      lane.entering = false;
-      return;
-    }
+    do {
+      lane.node = root_.load(std::memory_order_acquire);
+    } while (!ReadLockRoot(lane.node, lane.hold));
+    lane.entering = false;
   }
 
   size_t LookupInterleaved(const Key* keys, size_t n, Value* values,
@@ -723,38 +863,25 @@ class BTree {
       if (!lane.active) continue;
 
       if (lane.entering) {
-        // Enter the child prefetched on this lane's previous turn:
-        // snapshot its version, then re-validate the parent so the two
-        // reads are mutually consistent.
-        uint64_t cv;
-        const bool child_locked = ReadLockNode(lane.child, cv);
-        if (!child_locked || !Validate(AsInner(lane.node)->lock, lane.v)) {
+        ReadHold child_hold;
+        if (!EnterNode(AsInner(lane.node), lane.hold, lane.child,
+                       child_hold)) {
           restarts.Tick();  // ...and each lane restart adds one.
           ReadLockRootLane(lane);
           continue;
         }
         lane.node = lane.child;
-        lane.v = cv;
+        lane.hold = child_hold;
         lane.entering = false;
         continue;
       }
 
       if (!IsLeaf(lane.node)) {
-        const Inner* inner = AsInner(lane.node);
-        const uint16_t cnt = LoadCount(inner, kInnerMax);
-        const NodeBase* child =
-            inner->children[inner->ChildIndex(keys[lane.op], cnt)];
-        // Issue the prefetch now; the (possibly torn) pointer is only
-        // dereferenced after the validation below succeeds — and only
-        // after every other lane has taken a turn, which is the latency
-        // the prefetch hides. A level-1 inner's children are leaves:
-        // warm the whole leaf so the key/value search hits cache.
-        if (inner->level == 1) {
-          PrefetchLines<kLeafLines>(child);
-        } else {
-          PrefetchNodeHeader(child);
-        }
-        if (!Validate(inner->lock, lane.v)) {
+        // The prefetch is the latency this lane hides: the child is only
+        // touched after every other lane has taken a turn.
+        NodeBase* child = PeekChild(AsInner(lane.node), keys[lane.op],
+                                    lane.hold, /*whole_leaf=*/true);
+        if (child == nullptr) {
           restarts.Tick();
           ReadLockRootLane(lane);
           continue;
@@ -765,15 +892,11 @@ class BTree {
       }
 
       const Leaf* leaf = AsLeaf(lane.node);
-      const uint16_t cnt = LoadCount(leaf, kLeafMax);
-      const uint16_t pos = leaf->LowerBound(keys[lane.op], cnt);
-      bool hit = false;
+      uint16_t pos;
+      const bool hit = leaf->Find(keys[lane.op], pos);
       Value value{};
-      if (pos < cnt && leaf->keys[pos] == keys[lane.op]) {
-        hit = true;
-        value = leaf->values[pos];
-      }
-      if (!Validate(leaf->lock, lane.v)) {
+      if (hit) value = leaf->values[pos];
+      if (!ValidateHold(leaf->lock, lane.hold)) {
         restarts.Tick();
         ReadLockRootLane(lane);
         continue;
@@ -794,208 +917,6 @@ class BTree {
     return hits;
   }
 
-  size_t ScanOptimistic(const Key& start, size_t limit,
-                        std::vector<std::pair<Key, Value>>& out) const {
-    RestartCounter restarts(read_restarts_);
-    while (true) {
-      restarts.Tick();
-      out.clear();
-      // Descend to the first candidate leaf.
-      NodeBase* node = root_.load(std::memory_order_acquire);
-      uint64_t v;
-      if (!ReadLockNode(node, v)) continue;
-      if (node != root_.load(std::memory_order_acquire)) continue;
-
-      bool restart = false;
-      while (!IsLeaf(node)) {
-        const Inner* inner = AsInner(node);
-        const uint16_t n = LoadCount(inner, kInnerMax);
-        NodeBase* child = inner->children[inner->ChildIndex(start, n)];
-        PrefetchNodeHeader(child);  // Same unvalidated-prefetch as Lookup.
-        if (!Validate(inner->lock, v)) {
-          restart = true;
-          break;
-        }
-        uint64_t cv;
-        if (!ReadLockNode(child, cv)) {
-          restart = true;
-          break;
-        }
-        if (!Validate(inner->lock, v)) {
-          restart = true;
-          break;
-        }
-        node = child;
-        v = cv;
-      }
-      if (restart) continue;
-
-      // Walk the leaf chain, copying validated batches.
-      const Leaf* leaf = AsLeaf(node);
-      bool failed = false;
-      while (leaf != nullptr && out.size() < limit) {
-        // Read the successor first and start pulling it in while this
-        // leaf's batch is copied; the (possibly torn) pointer is only
-        // chased after the validation below succeeds.
-        const Leaf* next = leaf->next;
-        if (next != nullptr) PrefetchNodeHeader(next);
-        const uint16_t n = LoadCount(leaf, kLeafMax);
-        std::pair<Key, Value> batch[Leaf::kMax];
-        uint16_t batch_size = 0;
-        for (uint16_t i = leaf->LowerBound(start, n);
-             i < n; ++i) {
-          batch[batch_size++] = {leaf->keys[i], leaf->values[i]};
-        }
-        if (!Validate(leaf->lock, v)) {
-          failed = true;
-          break;
-        }
-        for (uint16_t i = 0; i < batch_size && out.size() < limit; ++i) {
-          out.push_back(batch[i]);
-        }
-        if (next == nullptr || out.size() >= limit) break;
-        uint64_t nv;
-        if (!ReadLockOrRestart(next->lock, nv)) {
-          failed = true;
-          break;
-        }
-        // Two-step handover, as in the descent: re-validate this leaf
-        // after snapshotting `next`. Leaf rotations move keys across this
-        // boundary with only version bumps (no obsolete mark), so without
-        // the re-check a rotation landing between the batch validation
-        // above and the next-leaf snapshot could make the scan miss a key
-        // (moved next->current) or return one twice (moved current->next).
-        if (!Validate(leaf->lock, v)) {
-          failed = true;
-          break;
-        }
-        v = nv;
-        leaf = next;
-      }
-      if (failed) continue;
-      return out.size();
-    }
-  }
-
-  // --- Pessimistic (coupling) traversal ---
-  //
-  // Hand-over-hand coupling is outside what Clang's thread-safety analysis
-  // can express: the set of held locks is data-dependent (each iteration
-  // acquires child then releases parent), so every coupling function below
-  // opts out with OPTIQL_NO_THREAD_SAFETY_ANALYSIS. These paths are covered
-  // by the optimistic-protocol linter's pairing rule and the invariant
-  // build instead.
-
-  // Coupling goes through the slot-based shared/exclusive surface of the
-  // same TxnOps contract (InnerLock == LeafLock for coupling policies).
-  using POps = TxnOps<InnerLock>;
-
-  bool LookupCoupling(const Key& key,
-                      Value& out) const OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
-    while (true) {
-      NodeBase* node = root_.load(std::memory_order_acquire);
-      int slot = 0;
-      LockOf(node, /*shared=*/true, slot);
-      if (node != root_.load(std::memory_order_acquire)) {
-        UnlockOf(node, /*shared=*/true, slot);
-        continue;
-      }
-      while (!IsLeaf(node)) {
-        Inner* inner = AsInner(node);
-        NodeBase* child =
-            inner->children[inner->ChildIndex(key, inner->count)];
-        PrefetchNodeHeader(child);  // Warm the child's lock word.
-        const int child_slot = 1 - slot;
-        LockOf(child, /*shared=*/true, child_slot);
-        UnlockOf(node, /*shared=*/true, slot);
-        node = child;
-        slot = child_slot;
-      }
-      Leaf* leaf = AsLeaf(node);
-      const uint16_t pos = leaf->LowerBound(key, leaf->count);
-      const bool found = pos < leaf->count && leaf->keys[pos] == key;
-      if (found) out = leaf->values[pos];
-      UnlockOf(node, /*shared=*/true, slot);
-      return found;
-    }
-  }
-
-  size_t ScanCoupling(const Key& start, size_t limit,
-                      std::vector<std::pair<Key, Value>>& out) const
-      OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
-    while (true) {
-      NodeBase* node = root_.load(std::memory_order_acquire);
-      int slot = 0;
-      LockOf(node, /*shared=*/true, slot);
-      if (node != root_.load(std::memory_order_acquire)) {
-        UnlockOf(node, /*shared=*/true, slot);
-        continue;
-      }
-      while (!IsLeaf(node)) {
-        Inner* inner = AsInner(node);
-        NodeBase* child =
-            inner->children[inner->ChildIndex(start, inner->count)];
-        PrefetchNodeHeader(child);  // Warm the child's lock word.
-        const int child_slot = 1 - slot;
-        LockOf(child, /*shared=*/true, child_slot);
-        UnlockOf(node, /*shared=*/true, slot);
-        node = child;
-        slot = child_slot;
-      }
-      Leaf* leaf = AsLeaf(node);
-      while (leaf != nullptr && out.size() < limit) {
-        for (uint16_t i = leaf->LowerBound(start, leaf->count);
-             i < leaf->count && out.size() < limit; ++i) {
-          out.push_back({leaf->keys[i], leaf->values[i]});
-        }
-        Leaf* next = leaf->next;
-        if (next == nullptr || out.size() >= limit) break;
-        PrefetchNodeHeader(next);
-        const int next_slot = 1 - slot;
-        POps::LockSh(next->lock, next_slot);
-        POps::UnlockSh(leaf->lock, slot);
-        leaf = next;
-        slot = next_slot;
-      }
-      POps::UnlockSh(leaf->lock, slot);
-      return out.size();
-    }
-  }
-
-  void LockOf(NodeBase* node, bool shared,
-              int slot) const OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
-    if (IsLeaf(node)) {
-      if (shared) {
-        POps::LockSh(AsLeaf(node)->lock, slot);
-      } else {
-        POps::LockEx(AsLeaf(node)->lock, slot);
-      }
-    } else {
-      if (shared) {
-        POps::LockSh(AsInner(node)->lock, slot);
-      } else {
-        POps::LockEx(AsInner(node)->lock, slot);
-      }
-    }
-  }
-
-  void UnlockOf(NodeBase* node, bool shared,
-                int slot) const OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
-    if (IsLeaf(node)) {
-      if (shared) {
-        POps::UnlockSh(AsLeaf(node)->lock, slot);
-      } else {
-        POps::UnlockEx(AsLeaf(node)->lock, slot);
-      }
-    } else {
-      if (shared) {
-        POps::UnlockSh(AsInner(node)->lock, slot);
-      } else {
-        POps::UnlockEx(AsInner(node)->lock, slot);
-      }
-    }
-  }
-
   // --- Write paths ---
 
   bool Write(const Key& key, const Value* value, WriteKind kind) {
@@ -1007,17 +928,16 @@ class BTree {
     }
   }
 
-  // Shared by OLC and OptiQL protocols: optimistic descent with eager
-  // inner-node splits (OptLock-style upgrades on inner nodes), then a
-  // protocol-specific leaf step.
+  // Shared by OLC and OptiQL protocols: the read descent with eager
+  // inner-node splits and merges (OptLock-style upgrades on inner nodes),
+  // then a protocol-specific leaf step.
   bool WriteOptimistic(const Key& key, const Value* value, WriteKind kind) {
     RestartCounter restarts(write_restarts_);
     while (true) {
       restarts.Tick();
       NodeBase* node = root_.load(std::memory_order_acquire);
-      uint64_t v;
-      if (!ReadLockNode(node, v)) continue;
-      if (node != root_.load(std::memory_order_acquire)) continue;
+      ReadHold hold;
+      if (!ReadLockRoot(node, hold)) continue;
 
       Inner* parent = nullptr;
       uint64_t pv = 0;
@@ -1028,11 +948,12 @@ class BTree {
         Inner* inner = AsInner(node);
         // Eager split keeps the instability scope at parent+node.
         if (NeedsSplitForWrite(kind) && inner->count == kInnerMax) {
-          if (!SplitInnerEagerly(parent, pv, inner, v)) {
-            restart = true;
-            break;
+          if (UpgradeForSplit(parent, pv, inner, hold.v)) {
+            SplitNode(parent, inner);
+            if (parent != nullptr) UnlockNodeEx(parent->lock);
+            UnlockNodeEx(inner->lock);
           }
-          restart = true;  // Structure changed; re-traverse.
+          restart = true;  // Structure changed or a lock step failed.
           break;
         }
         // Eager merge mirrors the eager split: fix an underfull inner node
@@ -1042,42 +963,36 @@ class BTree {
           bool screen_restart = false;
           if (RebalanceInnerMightHelp(parent, pv, parent_is_root, inner,
                                       &screen_restart)) {
-            if (RebalanceInner(parent, pv, parent_is_root, inner, v)) {
+            if (RebalanceUpgraded(parent, pv, parent_is_root, inner,
+                                  hold.v)) {
               restart = true;
               break;
             }
+            UnlockNodeExNoBump(inner->lock);
+            UnlockNodeExNoBump(parent->lock);
           } else if (screen_restart) {
             restart = true;
             break;
           }
           // No profitable rebalance: every lock was released without a
           // version bump (or none was taken at all), so the snapshots stay
-          // valid — keep descending.
+          // valid; keep descending.
         }
-        const uint16_t n = LoadCount(inner, kInnerMax);
-        NodeBase* child = inner->children[inner->ChildIndex(key, n)];
-        PrefetchNodeHeader(child);  // Same unvalidated-prefetch as Lookup.
-        if (!Validate(inner->lock, v)) {
-          restart = true;
-          break;
-        }
-        uint64_t cv;
-        if (!ReadLockNode(child, cv)) {
-          restart = true;
-          break;
-        }
-        if (!Validate(inner->lock, v)) {
+        NodeBase* child = PeekChild(inner, key, hold);
+        ReadHold child_hold;
+        if (child == nullptr || !EnterNode(inner, hold, child, child_hold)) {
           restart = true;
           break;
         }
         parent_is_root = parent == nullptr;
         parent = inner;
-        pv = v;
+        pv = hold.v;
         node = child;
-        v = cv;
+        hold = child_hold;
       }
       if (restart) continue;
 
+      Leaf* leaf = AsLeaf(node);
       bool result = false;
       if constexpr (kInPlaceUpdates) {
         // Latch-free point update: for an existing key, publish the value
@@ -1086,7 +1001,7 @@ class BTree {
         // locked path for misses needing insertion and lost races.
         if (kind == WriteKind::kUpdate || kind == WriteKind::kUpsert) {
           const InPlaceStatus ip =
-              LeafUpdateInPlace(AsLeaf(node), v, key, value, kind, &result);
+              LeafUpdateInPlace(leaf, hold.v, key, value, kind, &result);
           if (ip == InPlaceStatus::kDone) return result;
           if (ip == InPlaceStatus::kRestart) continue;
           // kFallback: take the locked leaf path below.
@@ -1094,11 +1009,11 @@ class BTree {
       }
       LeafWriteStatus status;
       if constexpr (kProtocol == BTreeProtocol::kOptiQl) {
-        status = LeafWriteOptiQl(AsLeaf(node), parent, pv, parent_is_root,
-                                 key, value, kind, &result);
+        status = LeafWriteOptiQl(leaf, parent, pv, parent_is_root, key, value,
+                                 kind, &result);
       } else {
-        status = LeafWriteOlc(AsLeaf(node), v, parent, pv, parent_is_root,
-                              key, value, kind, &result);
+        status = LeafWriteOlc(leaf, hold.v, parent, pv, parent_is_root, key,
+                              value, kind, &result);
       }
       if (status == LeafWriteStatus::kRestart) continue;
       return result;
@@ -1133,9 +1048,8 @@ class BTree {
   InPlaceStatus LeafUpdateInPlace(Leaf* leaf, uint64_t v, const Key& key,
                                   const Value* value, WriteKind kind,
                                   bool* result) {
-    const uint16_t n = LoadCount(leaf, kLeafMax);
-    const uint16_t pos = leaf->LowerBound(key, n);
-    const bool exists = pos < n && leaf->keys[pos] == key;
+    uint16_t pos;
+    const bool exists = leaf->Find(key, pos);
     if (!Validate(leaf->lock, v)) return InPlaceStatus::kRestart;
     if (!exists) {
       if (kind == WriteKind::kUpdate) {
@@ -1165,50 +1079,73 @@ class BTree {
     return kind == WriteKind::kInsert || kind == WriteKind::kUpsert;
   }
 
-  // Splits a full inner node while descending (OLC): upgrade parent (or
-  // verify we own the root), upgrade the node, split, then restart.
-  // Returns false if any lock step failed (caller restarts either way).
-  bool SplitInnerEagerly(Inner* parent, uint64_t pv, Inner* inner,
-                         uint64_t v) {
-    if (parent != nullptr) {
-      if (!TryUpgradeLock(parent->lock, pv)) return false;
-    }
-    if (!TryUpgradeLock(inner->lock, v)) {
+  // OLC split entry: upgrades `parent` (or, at the root, verifies that
+  // `node` still is the root) and then `node` from their snapshots, and
+  // checks that the parent still has room for a separator. A parent that
+  // filled up since we passed it is split eagerly on the next descent.
+  // False = every lock released; the caller restarts.
+  template <class Node>
+  bool UpgradeForSplit(Inner* parent, uint64_t pv, Node* node, uint64_t v) {
+    if (parent != nullptr && !TryUpgradeLock(parent->lock, pv)) return false;
+    if (!TryUpgradeLock(node->lock, v)) {
       if (parent != nullptr) UnlockNodeEx(parent->lock);
       return false;
     }
-    if (parent == nullptr &&
-        root_.load(std::memory_order_acquire) != inner) {
-      UnlockNodeEx(inner->lock);
+    if (parent == nullptr && root_.load(std::memory_order_acquire) != node) {
+      UnlockNodeEx(node->lock);
       return false;
     }
     if (parent != nullptr && parent->count == kInnerMax) {
-      // Parent filled up since we passed it; retry from the top (it will be
-      // split eagerly on the next descent).
       UnlockNodeEx(parent->lock);
-      UnlockNodeEx(inner->lock);
+      UnlockNodeEx(node->lock);
       return false;
     }
-
-    inner_splits_.fetch_add(1, std::memory_order_relaxed);
-    // Move the upper half to a new right sibling; middle key moves up.
-    const uint16_t mid = inner->count / 2;
-    const Key separator = inner->keys[mid];
-    Inner* right = new Inner(inner->level);
-    live_nodes_.fetch_add(1, std::memory_order_relaxed);
-    right->count = static_cast<uint16_t>(inner->count - mid - 1);
-    for (uint16_t i = 0; i < right->count; ++i) {
-      right->keys[i] = inner->keys[mid + 1 + i];
-    }
-    for (uint16_t i = 0; i <= right->count; ++i) {
-      right->children[i] = inner->children[mid + 1 + i];
-    }
-    inner->count = mid;
-
-    PublishSplit(parent, inner, right, separator);
-    if (parent != nullptr) UnlockNodeEx(parent->lock);
-    UnlockNodeEx(inner->lock);
     return true;
+  }
+
+  // The one split, for every protocol: moves the upper half of `node` to a
+  // new right sibling and publishes it into `parent`, or under a new root
+  // when `parent` is null. A leaf keeps the lower half of its pairs and
+  // links the new leaf into the chain; an inner node's middle key moves up.
+  // The caller holds `node` and `parent` exclusively (or verified root
+  // ownership). Returns the new right node.
+  NodeBase* SplitNode(Inner* parent, NodeBase* node) {
+    NodeBase* right;
+    Key separator;
+    if (IsLeaf(node)) {
+      leaf_splits_.fetch_add(1, std::memory_order_relaxed);
+      Leaf* leaf = AsLeaf(node);
+      const uint16_t mid = leaf->count / 2;
+      Leaf* half = new Leaf();
+      half->count = static_cast<uint16_t>(leaf->count - mid);
+      for (uint16_t i = 0; i < half->count; ++i) {
+        half->keys[i] = leaf->keys[mid + i];
+        half->values[i] = leaf->values[mid + i];
+      }
+      leaf->count = mid;
+      half->next = leaf->next;
+      leaf->next = half;
+      separator = half->keys[0];
+      right = half;
+    } else {
+      inner_splits_.fetch_add(1, std::memory_order_relaxed);
+      Inner* inner = AsInner(node);
+      const uint16_t mid = inner->count / 2;
+      Inner* half = new Inner(inner->level);
+      half->count = static_cast<uint16_t>(inner->count - mid - 1);
+      for (uint16_t i = 0; i < half->count; ++i) {
+        half->keys[i] = inner->keys[mid + 1 + i];
+      }
+      for (uint16_t i = 0; i <= half->count; ++i) {
+        half->children[i] = inner->children[mid + 1 + i];
+      }
+      separator = inner->keys[mid];
+      inner->count = mid;
+      right = half;
+    }
+    live_nodes_.fetch_add(1, std::memory_order_relaxed);
+    PublishSplit(parent, node, right, separator);
+    return right;
   }
 
   // Inserts (separator, right) into `parent`, or grows a new root when
@@ -1254,25 +1191,18 @@ class BTree {
                                WriteKind kind, bool* result) {
     if (kind == WriteKind::kRemove && parent != nullptr &&
         leaf->count <= kLeafMin) {
-      return RebalanceLeafOlc(parent, pv, parent_is_root, leaf, v, key,
-                              result);
+      if (RebalanceUpgraded(parent, pv, parent_is_root, leaf, v)) {
+        return LeafWriteStatus::kRestart;
+      }
+      // No profitable structural move (tiny geometry, or the siblings are
+      // as drained as we are): complete the remove in place.
+      UnlockNodeExNoBump(parent->lock);
+      *result = ApplyToLeaf(leaf, key, nullptr, WriteKind::kRemove);
+      UnlockNodeEx(leaf->lock);
+      return LeafWriteStatus::kDone;
     }
     if (NeedsSplitForWrite(kind) && leaf->count == kLeafMax) {
-      if (parent != nullptr) {
-        if (!TryUpgradeLock(parent->lock, pv)) return LeafWriteStatus::kRestart;
-      }
-      if (!TryUpgradeLock(leaf->lock, v)) {
-        if (parent != nullptr) UnlockNodeEx(parent->lock);
-        return LeafWriteStatus::kRestart;
-      }
-      if (parent == nullptr &&
-          root_.load(std::memory_order_acquire) != leaf) {
-        UnlockNodeEx(leaf->lock);
-        return LeafWriteStatus::kRestart;
-      }
-      if (parent != nullptr && parent->count == kInnerMax) {
-        UnlockNodeEx(parent->lock);
-        UnlockNodeEx(leaf->lock);
+      if (!UpgradeForSplit(parent, pv, leaf, v)) {
         return LeafWriteStatus::kRestart;
       }
       *result = SplitLeafAndApply(leaf, parent, key, value, kind);
@@ -1286,6 +1216,7 @@ class BTree {
     UnlockNodeEx(leaf->lock);
     return LeafWriteStatus::kDone;
   }
+
 
   // OptiQL leaf step (paper Algorithm 4): lock the leaf *directly* with the
   // queue-based lock, then validate the parent; no upgrade, no re-search
@@ -1358,27 +1289,14 @@ class BTree {
     return LeafWriteStatus::kDone;
   }
 
+
   // Splits an exclusively-locked full leaf (parent exclusively locked or
-  // root ownership verified), then applies the pending write to the correct
-  // half. Returns the operation result.
+  // root ownership verified), then applies the pending write to the half
+  // that now covers `key`. Returns the operation result.
   bool SplitLeafAndApply(Leaf* leaf, Inner* parent, const Key& key,
                          const Value* value, WriteKind kind) {
-    leaf_splits_.fetch_add(1, std::memory_order_relaxed);
-    const uint16_t mid = leaf->count / 2;
-    Leaf* right = new Leaf();
-    live_nodes_.fetch_add(1, std::memory_order_relaxed);
-    right->count = static_cast<uint16_t>(leaf->count - mid);
-    for (uint16_t i = 0; i < right->count; ++i) {
-      right->keys[i] = leaf->keys[mid + i];
-      right->values[i] = leaf->values[mid + i];
-    }
-    leaf->count = mid;
-    right->next = leaf->next;
-    leaf->next = right;
-    const Key separator = right->keys[0];
-    PublishSplit(parent, leaf, right, separator);
-    Leaf* target = key < separator ? leaf : right;
-    return ApplyToLeaf(target, key, value, kind);
+    Leaf* right = AsLeaf(SplitNode(parent, leaf));
+    return ApplyToLeaf(key < right->keys[0] ? leaf : right, key, value, kind);
   }
 
   bool ApplyToLeaf(Leaf* leaf, const Key& key, const Value* value,
@@ -1457,6 +1375,16 @@ class BTree {
            static_cast<int>(min);
   }
 
+  // True iff adjacent siblings holding `l` and `r` entries fit in one node
+  // (an inner merge also pulls their separator down) and the parent can
+  // give up a separator: a non-root inner node must keep at least one.
+  static bool MergeFits(bool leaf, uint16_t l, uint16_t r,
+                        uint16_t parent_count, bool parent_is_root) {
+    const int entries = l + r + (leaf ? 0 : 1);
+    return entries <= (leaf ? kLeafMax : kInnerMax) &&
+           (parent_count >= 2 || parent_is_root);
+  }
+
   // `child` is guaranteed present: every caller holds `parent` exclusively
   // and (re)validated the parent-child edge under that lock.
   static uint16_t FindChildIndex(const Inner* parent, const NodeBase* child) {
@@ -1512,65 +1440,66 @@ class BTree {
     inner_merges_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // One-entry rotations between exclusively held adjacent siblings.
-  // keys[left_idx] is the separator between them.
+  // Rotations between exclusively held adjacent siblings: entries move one
+  // at a time across keys[left_idx], the separator between them, until the
+  // two counts differ by at most one.
 
-  static void RotateLeafLeft(Inner* parent, uint16_t left_idx, Leaf* left,
-                             Leaf* right) {
-    left->keys[left->count] = right->keys[0];
-    left->values[left->count] = right->values[0];
-    ++left->count;
-    for (uint16_t i = 1; i < right->count; ++i) {
-      right->keys[i - 1] = right->keys[i];
-      right->values[i - 1] = right->values[i];
+  static void BalanceLeaves(Inner* parent, uint16_t left_idx, Leaf* left,
+                            Leaf* right) {
+    while (left->count + 1 < right->count) {
+      left->keys[left->count] = right->keys[0];
+      left->values[left->count] = right->values[0];
+      ++left->count;
+      for (uint16_t i = 1; i < right->count; ++i) {
+        right->keys[i - 1] = right->keys[i];
+        right->values[i - 1] = right->values[i];
+      }
+      --right->count;
+      parent->keys[left_idx] = right->keys[0];
     }
-    --right->count;
-    parent->keys[left_idx] = right->keys[0];
+    while (right->count + 1 < left->count) {
+      for (uint16_t i = right->count; i > 0; --i) {
+        right->keys[i] = right->keys[i - 1];
+        right->values[i] = right->values[i - 1];
+      }
+      right->keys[0] = left->keys[left->count - 1];
+      right->values[0] = left->values[left->count - 1];
+      ++right->count;
+      --left->count;
+      parent->keys[left_idx] = right->keys[0];
+    }
   }
 
-  static void RotateLeafRight(Inner* parent, uint16_t left_idx, Leaf* left,
-                              Leaf* right) {
-    for (uint16_t i = right->count; i > 0; --i) {
-      right->keys[i] = right->keys[i - 1];
-      right->values[i] = right->values[i - 1];
+  static void BalanceInners(Inner* parent, uint16_t left_idx, Inner* left,
+                            Inner* right) {
+    while (left->count + 1 < right->count) {
+      // Separator descends to left's tail, adopting right's first child;
+      // right's first key ascends.
+      left->keys[left->count] = parent->keys[left_idx];
+      left->children[left->count + 1] = right->children[0];
+      ++left->count;
+      parent->keys[left_idx] = right->keys[0];
+      for (uint16_t i = 1; i < right->count; ++i) {
+        right->keys[i - 1] = right->keys[i];
+      }
+      for (uint16_t i = 1; i <= right->count; ++i) {
+        right->children[i - 1] = right->children[i];
+      }
+      --right->count;
     }
-    right->keys[0] = left->keys[left->count - 1];
-    right->values[0] = left->values[left->count - 1];
-    ++right->count;
-    --left->count;
-    parent->keys[left_idx] = right->keys[0];
-  }
-
-  static void RotateInnerLeft(Inner* parent, uint16_t left_idx, Inner* left,
-                              Inner* right) {
-    // Separator descends to left's tail, adopting right's first child;
-    // right's first key ascends.
-    left->keys[left->count] = parent->keys[left_idx];
-    left->children[left->count + 1] = right->children[0];
-    ++left->count;
-    parent->keys[left_idx] = right->keys[0];
-    for (uint16_t i = 1; i < right->count; ++i) {
-      right->keys[i - 1] = right->keys[i];
+    while (right->count + 1 < left->count) {
+      for (uint16_t i = right->count; i > 0; --i) {
+        right->keys[i] = right->keys[i - 1];
+      }
+      for (uint16_t i = static_cast<uint16_t>(right->count + 1); i > 0; --i) {
+        right->children[i] = right->children[i - 1];
+      }
+      right->keys[0] = parent->keys[left_idx];
+      right->children[0] = left->children[left->count];
+      ++right->count;
+      parent->keys[left_idx] = left->keys[left->count - 1];
+      --left->count;
     }
-    for (uint16_t i = 1; i <= right->count; ++i) {
-      right->children[i - 1] = right->children[i];
-    }
-    --right->count;
-  }
-
-  static void RotateInnerRight(Inner* parent, uint16_t left_idx, Inner* left,
-                               Inner* right) {
-    for (uint16_t i = right->count; i > 0; --i) {
-      right->keys[i] = right->keys[i - 1];
-    }
-    for (uint16_t i = static_cast<uint16_t>(right->count + 1); i > 0; --i) {
-      right->children[i] = right->children[i - 1];
-    }
-    right->keys[0] = parent->keys[left_idx];
-    right->children[0] = left->children[left->count];
-    ++right->count;
-    parent->keys[left_idx] = left->keys[left->count - 1];
-    --left->count;
   }
 
   // Unlinks are published before this runs, so late readers of the victim
@@ -1586,6 +1515,15 @@ class BTree {
     }
   }
 
+  // Points root_ at the lone child of a root merged down to zero
+  // separators. The caller holds the old root exclusively and retires it
+  // after the release.
+  void CollapseRoot(Inner* root) {
+    OPTIQL_CHECK(root_.load(std::memory_order_acquire) == root);
+    root_.store(root->children[0], std::memory_order_release);
+    root_collapses_.fetch_add(1, std::memory_order_relaxed);
+  }
+
   // Releases the exclusively held parent after a child merge, collapsing a
   // root left with zero separators onto its lone child. `parent_is_root`
   // stays truthful under the held lock: any operation that moves root_ away
@@ -1593,9 +1531,7 @@ class BTree {
   // the caller's upgrade.
   void ReleaseParentAfterMerge(Inner* parent, bool parent_is_root) {
     if (parent_is_root && parent->count == 0) {
-      OPTIQL_CHECK(root_.load(std::memory_order_acquire) == parent);
-      root_.store(parent->children[0], std::memory_order_release);
-      root_collapses_.fetch_add(1, std::memory_order_relaxed);
+      CollapseRoot(parent);
       UnlockNodeExObsolete(parent->lock);
       RetireNode(parent);
       return;
@@ -1603,12 +1539,12 @@ class BTree {
     UnlockNodeEx(parent->lock);
   }
 
-  // Lock-free pre-screen for RebalanceInner: peeks at the node's neighbour
-  // under the parent snapshot and reports whether a merge could fit or a
-  // rotation could cure the underflow. Without it every remove descending
-  // past a permanently-underfull inner node (tiny geometry, drained
-  // siblings) would upgrade two locks and block on the sibling only to
-  // back out, serializing hot inner nodes. The counts are unvalidated —
+  // Lock-free pre-screen for rebalancing an inner node: peeks at the node's
+  // neighbour under the parent snapshot and reports whether a merge could
+  // fit or a rotation could cure the underflow. Without it every remove
+  // descending past a permanently-underfull inner node (tiny geometry,
+  // drained siblings) would upgrade two locks and block on the sibling only
+  // to back out, serializing hot inner nodes. The counts are unvalidated —
   // they gate a heuristic only; the locked pass re-checks everything. On a
   // dead parent snapshot sets *restart and returns false.
   bool RebalanceInnerMightHelp(const Inner* parent, uint64_t pv,
@@ -1630,127 +1566,106 @@ class BTree {
     // concurrently its memory stays valid under our epoch guard.
     const uint16_t n = LoadCount(inner, kInnerMax);
     const uint16_t s = LoadCount(sibling, kInnerMax);
-    const bool merge_fits =
-        n + s + 1 <= kInnerMax && (pn >= 2 || parent_is_root);
-    return merge_fits || RotationHelps(n, s, kInnerMin);
+    return MergeFits(/*leaf=*/false, n, s, pn, parent_is_root) ||
+           RotationHelps(n, s, kInnerMin);
   }
 
-  // Rebalances an underfull inner node during an optimistic descent.
-  // Returns true when the structure changed (caller restarts) and false
-  // when no profitable move existed — then every lock was released without
-  // a version bump and the caller's snapshots are still valid.
-  bool RebalanceInner(Inner* parent, uint64_t pv, bool parent_is_root,
-                      Inner* inner, uint64_t v) {
+  enum class Rebalanced { kMerged, kRotated, kNone };
+
+  // The adjacent pair a rebalance works on: keys[left_idx] of the parent
+  // separates `left` from `right`, and `sibling` is whichever of the two
+  // is not the underfull node.
+  struct SiblingPair {
+    NodeBase* left = nullptr;
+    NodeBase* right = nullptr;
+    NodeBase* sibling = nullptr;
+    uint16_t left_idx = 0;
+  };
+
+  // The one delete-time rebalance, for every protocol and node kind.
+  // `parent` and the underfull `node` are held exclusively. Picks the
+  // node's right sibling (its left one when the node is the last child),
+  // has `lock_sibling(pair)` lock that sibling exclusively, then merges the
+  // pair when it fits in one node (right into left, unlinking right), or
+  // rotates entries across when that lifts both above their minimum, or
+  // changes nothing. Every lock release, and retiring `pair.right` after a
+  // merge, stays with the caller, whose lock family decides how.
+  template <class LockSibling>
+  Rebalanced MergeOrRotate(Inner* parent, bool parent_is_root, NodeBase* node,
+                           SiblingPair& pair, const LockSibling& lock_sibling) {
+    const uint16_t idx = FindChildIndex(parent, node);
+    const bool node_is_left = idx < parent->count;
+    pair.left_idx = node_is_left ? idx : static_cast<uint16_t>(idx - 1);
+    pair.left = parent->children[pair.left_idx];
+    pair.right = parent->children[pair.left_idx + 1];
+    pair.sibling = node_is_left ? pair.right : pair.left;
+    lock_sibling(pair);
+
+    const bool leaf = IsLeaf(node);
+    const uint16_t l = pair.left->count;
+    const uint16_t r = pair.right->count;
+    if (MergeFits(leaf, l, r, parent->count, parent_is_root)) {
+      if (leaf) {
+        MergeLeaves(parent, pair.left_idx, AsLeaf(pair.left),
+                    AsLeaf(pair.right));
+      } else {
+        MergeInners(parent, pair.left_idx, AsInner(pair.left),
+                    AsInner(pair.right));
+      }
+      return Rebalanced::kMerged;
+    }
+    if (!RotationHelps(l, r, leaf ? kLeafMin : kInnerMin)) {
+      return Rebalanced::kNone;
+    }
+    if (leaf) {
+      BalanceLeaves(parent, pair.left_idx, AsLeaf(pair.left),
+                    AsLeaf(pair.right));
+    } else {
+      BalanceInners(parent, pair.left_idx, AsInner(pair.left),
+                    AsInner(pair.right));
+    }
+    rebalance_borrows_.fetch_add(1, std::memory_order_relaxed);
+    return Rebalanced::kRotated;
+  }
+
+  // Rebalance by upgrades (optimistic inner nodes and OLC leaves): upgrade
+  // parent, then node, from their snapshots; lock the sibling blocking,
+  // which is deadlock-free because every writer that locks a same-level
+  // pair holds their parent exclusively first, and we hold it. True = the
+  // structure changed or a lock step failed (all released; restart).
+  // False = no profitable move: the sibling was released without a bump,
+  // and `parent` + `node` stay held for the caller to release.
+  template <class Node>
+  bool RebalanceUpgraded(Inner* parent, uint64_t pv, bool parent_is_root,
+                         Node* node, uint64_t v) {
     if (!TryUpgradeLock(parent->lock, pv)) return true;
-    if (!TryUpgradeLock(inner->lock, v)) {
+    if (!TryUpgradeLock(node->lock, v)) {
       UnlockNodeExNoBump(parent->lock);
       return true;
     }
-    const uint16_t idx = FindChildIndex(parent, inner);
-    Inner* left;
-    Inner* right;
-    uint16_t left_idx;
-    if (idx < parent->count) {
-      left = inner;
-      right = AsInner(parent->children[idx + 1]);
-      left_idx = idx;
-    } else {
-      left = AsInner(parent->children[idx - 1]);
-      right = inner;
-      left_idx = static_cast<uint16_t>(idx - 1);
-    }
-    Inner* sibling = left == inner ? right : left;
-    // Blocking acquire is deadlock-free: every writer that locks an inner
-    // node holds its parent exclusively first, and we hold the parent.
-    LockNodeEx(sibling->lock, /*slot=*/1);
-
-    const uint16_t l = left->count;
-    const uint16_t r = right->count;
-    if (l + r + 1 <= kInnerMax && (parent->count >= 2 || parent_is_root)) {
-      MergeInners(parent, left_idx, left, right);
-      UnlockNodeExObsolete(right->lock);
-      UnlockNodeEx(left->lock);
-      RetireNode(right);
+    SiblingPair pair;
+    const Rebalanced done =
+        MergeOrRotate(parent, parent_is_root, node, pair,
+                      [](const SiblingPair& p) {
+                        LockNodeEx(static_cast<Node*>(p.sibling)->lock,
+                                   /*slot=*/1);
+                      });
+    Node* sibling = static_cast<Node*>(pair.sibling);
+    if (done == Rebalanced::kMerged) {
+      UnlockNodeExObsolete(static_cast<Node*>(pair.right)->lock);
+      UnlockNodeEx(static_cast<Node*>(pair.left)->lock);
+      RetireNode(pair.right);
       ReleaseParentAfterMerge(parent, parent_is_root);
       return true;
     }
-    if (RotationHelps(l, r, kInnerMin)) {
-      while (left->count + 1 < right->count) {
-        RotateInnerLeft(parent, left_idx, left, right);
-      }
-      while (right->count + 1 < left->count) {
-        RotateInnerRight(parent, left_idx, left, right);
-      }
-      rebalance_borrows_.fetch_add(1, std::memory_order_relaxed);
+    if (done == Rebalanced::kRotated) {
       UnlockNodeEx(sibling->lock);
-      UnlockNodeEx(inner->lock);
+      UnlockNodeEx(node->lock);
       UnlockNodeEx(parent->lock);
       return true;
     }
     UnlockNodeExNoBump(sibling->lock);
-    UnlockNodeExNoBump(inner->lock);
-    UnlockNodeExNoBump(parent->lock);
     return false;
-  }
-
-  // Leaf-level rebalance for the OLC protocol: upgrade parent then leaf
-  // from their snapshots, lock a sibling, and merge or rotate. When neither
-  // helps, the pending remove is applied in place under the held leaf.
-  LeafWriteStatus RebalanceLeafOlc(Inner* parent, uint64_t pv,
-                                   bool parent_is_root, Leaf* leaf,
-                                   uint64_t v, const Key& key,
-                                   bool* result) {
-    if (!TryUpgradeLock(parent->lock, pv)) return LeafWriteStatus::kRestart;
-    if (!TryUpgradeLock(leaf->lock, v)) {
-      UnlockNodeExNoBump(parent->lock);
-      return LeafWriteStatus::kRestart;
-    }
-    const uint16_t idx = FindChildIndex(parent, leaf);
-    Leaf* left;
-    Leaf* right;
-    uint16_t left_idx;
-    if (idx < parent->count) {
-      left = leaf;
-      right = AsLeaf(parent->children[idx + 1]);
-      left_idx = idx;
-    } else {
-      left = AsLeaf(parent->children[idx - 1]);
-      right = leaf;
-      left_idx = static_cast<uint16_t>(idx - 1);
-    }
-    Leaf* sibling = left == leaf ? right : left;
-    LockNodeEx(sibling->lock, /*slot=*/1);
-
-    const uint16_t l = left->count;
-    const uint16_t r = right->count;
-    if (l + r <= kLeafMax && (parent->count >= 2 || parent_is_root)) {
-      MergeLeaves(parent, left_idx, left, right);
-      UnlockNodeExObsolete(right->lock);
-      UnlockNodeEx(left->lock);
-      RetireNode(right);
-      ReleaseParentAfterMerge(parent, parent_is_root);
-      return LeafWriteStatus::kRestart;
-    }
-    if (RotationHelps(l, r, kLeafMin)) {
-      while (left->count + 1 < right->count) {
-        RotateLeafLeft(parent, left_idx, left, right);
-      }
-      while (right->count + 1 < left->count) {
-        RotateLeafRight(parent, left_idx, left, right);
-      }
-      rebalance_borrows_.fetch_add(1, std::memory_order_relaxed);
-      UnlockNodeEx(sibling->lock);
-      UnlockNodeEx(leaf->lock);
-      UnlockNodeEx(parent->lock);
-      return LeafWriteStatus::kRestart;
-    }
-    // No profitable structural move (tiny geometry, or the siblings are as
-    // drained as we are): complete the remove in place.
-    UnlockNodeExNoBump(sibling->lock);
-    UnlockNodeExNoBump(parent->lock);
-    *result = ApplyToLeaf(leaf, key, nullptr, WriteKind::kRemove);
-    UnlockNodeEx(leaf->lock);
-    return LeafWriteStatus::kDone;
   }
 
   // Leaf-level rebalance for the OptiQL protocol. The caller already owns
@@ -1766,49 +1681,31 @@ class BTree {
       LeafOps::UnlockEx(leaf->lock, handle);
       return LeafWriteStatus::kRestart;
     }
-    const uint16_t idx = FindChildIndex(parent, leaf);
-    Leaf* left;
-    Leaf* right;
-    uint16_t left_idx;
-    if (idx < parent->count) {
-      left = leaf;
-      right = AsLeaf(parent->children[idx + 1]);
-      left_idx = idx;
-    } else {
-      left = AsLeaf(parent->children[idx - 1]);
-      right = leaf;
-      left_idx = static_cast<uint16_t>(idx - 1);
-    }
-    Leaf* sibling = left == leaf ? right : left;
     // Deadlock-free: sibling holders either hold only that leaf (plain leaf
     // writers — they never block on the parent, they validate it) or
     // acquired the parent first (structural passes — excluded, we hold it).
-    const typename LeafOps::ExHandle sibling_handle =
-        LeafOps::LockEx(sibling->lock, /*slot=*/1);
-
-    const uint16_t l = left->count;
-    const uint16_t r = right->count;
-    if (l + r <= kLeafMax && (parent->count >= 2 || parent_is_root)) {
-      MergeLeaves(parent, left_idx, left, right);
-      if (right == leaf) {
+    SiblingPair pair;
+    typename LeafOps::ExHandle sibling_handle{};
+    const Rebalanced done =
+        MergeOrRotate(parent, parent_is_root, leaf, pair,
+                      [&sibling_handle](const SiblingPair& p) {
+                        sibling_handle =
+                            LeafOps::LockEx(AsLeaf(p.sibling)->lock, 1);
+                      });
+    Leaf* sibling = AsLeaf(pair.sibling);
+    if (done == Rebalanced::kMerged) {
+      if (pair.right == leaf) {
         LeafOps::UnlockExObsolete(leaf->lock, handle);
         LeafOps::UnlockEx(sibling->lock, sibling_handle);
       } else {
         LeafOps::UnlockExObsolete(sibling->lock, sibling_handle);
         LeafOps::UnlockEx(leaf->lock, handle);
       }
-      RetireNode(right);
+      RetireNode(pair.right);
       ReleaseParentAfterMerge(parent, parent_is_root);
       return LeafWriteStatus::kRestart;
     }
-    if (RotationHelps(l, r, kLeafMin)) {
-      while (left->count + 1 < right->count) {
-        RotateLeafLeft(parent, left_idx, left, right);
-      }
-      while (right->count + 1 < left->count) {
-        RotateLeafRight(parent, left_idx, left, right);
-      }
-      rebalance_borrows_.fetch_add(1, std::memory_order_relaxed);
+    if (done == Rebalanced::kRotated) {
       LeafOps::UnlockEx(sibling->lock, sibling_handle);
       LeafOps::UnlockEx(leaf->lock, handle);
       UnlockNodeEx(parent->lock);
@@ -1825,15 +1722,42 @@ class BTree {
 
   // --- Pessimistic write path: exclusive top-down coupling with eager
   // splits (at most two exclusive locks held). ---
+  //
+  // Hand-over-hand coupling is outside what Clang's thread-safety analysis
+  // can express: the set of held locks is data-dependent (each iteration
+  // acquires child then releases parent), so the coupling functions below
+  // opt out with OPTIQL_NO_THREAD_SAFETY_ANALYSIS. These paths are covered
+  // by the coupling suites under TSan and the invariant build instead.
+  // Coupling goes through the slot-based exclusive surface of the TxnOps
+  // contract (InnerLock == LeafLock for coupling policies).
+  using POps = TxnOps<InnerLock>;
+
+  static void LockOf(NodeBase* node,
+                     int slot) OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
+    if (IsLeaf(node)) {
+      POps::LockEx(AsLeaf(node)->lock, slot);
+    } else {
+      POps::LockEx(AsInner(node)->lock, slot);
+    }
+  }
+
+  static void UnlockOf(NodeBase* node,
+                       int slot) OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
+    if (IsLeaf(node)) {
+      POps::UnlockEx(AsLeaf(node)->lock, slot);
+    } else {
+      POps::UnlockEx(AsInner(node)->lock, slot);
+    }
+  }
 
   bool WriteCoupling(const Key& key, const Value* value,
                      WriteKind kind) OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
     while (true) {
       NodeBase* node = root_.load(std::memory_order_acquire);
       int slot = 0;
-      LockOf(node, /*shared=*/false, slot);
+      LockOf(node, slot);
       if (node != root_.load(std::memory_order_acquire)) {
-        UnlockOf(node, /*shared=*/false, slot);
+        UnlockOf(node, slot);
         continue;
       }
 
@@ -1841,8 +1765,8 @@ class BTree {
       // The key may now belong to the new right sibling, which is only
       // reachable through the new root, so re-traverse.
       if (NeedsSplitForWrite(kind) && IsFull(node)) {
-        SplitChildOfNothing(node);
-        UnlockOf(node, /*shared=*/false, slot);
+        SplitNode(nullptr, node);
+        UnlockOf(node, slot);
         continue;
       }
 
@@ -1850,22 +1774,21 @@ class BTree {
       bool restart = false;
       while (!IsLeaf(node)) {
         Inner* inner = AsInner(node);
-        uint16_t idx = inner->ChildIndex(key, inner->count);
-        NodeBase* child = inner->children[idx];
+        NodeBase* child =
+            inner->children[inner->ChildIndex(key, inner->count)];
         PrefetchNodeHeader(child);  // Warm the child's lock word.
         const int child_slot = 1 - slot;
-        LockOf(child, /*shared=*/false, child_slot);
+        LockOf(child, child_slot);
         if (NeedsSplitForWrite(kind) && IsFull(child)) {
-          NodeBase* right = SplitChild(inner, child);
+          SplitNode(inner, child);
           // Re-route: the key may belong to the new right node.
-          idx = inner->ChildIndex(key, inner->count);
-          NodeBase* target = inner->children[idx];
+          NodeBase* target =
+              inner->children[inner->ChildIndex(key, inner->count)];
           if (target != child) {
-            UnlockOf(child, /*shared=*/false, child_slot);
-            LockOf(target, /*shared=*/false, child_slot);
+            UnlockOf(child, child_slot);
+            LockOf(target, child_slot);
             child = target;
           }
-          (void)right;
         } else if (kind == WriteKind::kRemove && IsUnderfull(child) &&
                    RebalanceChildCoupling(inner, at_root, slot, child,
                                           child_slot)) {
@@ -1874,7 +1797,7 @@ class BTree {
           restart = true;
           break;
         }
-        UnlockOf(node, /*shared=*/false, slot);
+        UnlockOf(node, slot);
         node = child;
         slot = child_slot;
         at_root = false;
@@ -1883,7 +1806,7 @@ class BTree {
 
       Leaf* leaf = AsLeaf(node);
       const bool result = ApplyToLeaf(leaf, key, value, kind);
-      UnlockOf(node, /*shared=*/false, slot);
+      UnlockOf(node, slot);
       return result;
     }
   }
@@ -1895,144 +1818,52 @@ class BTree {
   bool RebalanceChildCoupling(Inner* parent, bool at_root, int parent_slot,
                               NodeBase* child,
                               int child_slot) OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
-    const uint16_t idx = FindChildIndex(parent, child);
-    const bool child_is_left = idx < parent->count;
-    const uint16_t left_idx =
-        child_is_left ? idx : static_cast<uint16_t>(idx - 1);
     const int sibling_slot = 2;
-    NodeBase* left;
-    NodeBase* right;
-    if (child_is_left) {
-      left = child;
-      right = parent->children[idx + 1];
-      LockOf(right, /*shared=*/false, sibling_slot);
-    } else {
-      left = parent->children[idx - 1];
-      right = child;
-      // Same-level locks must be taken left-to-right: scans couple
-      // rightwards along the leaf chain, so holding `child` while blocking
-      // on its left sibling can deadlock against a scan holding that
-      // sibling shared. Drop the child, lock left, relock. Safe: every
-      // writer path to `child` goes through `parent`, which we hold, so
-      // its state cannot change while unlocked.
-      UnlockOf(child, /*shared=*/false, child_slot);
-      LockOf(left, /*shared=*/false, sibling_slot);
-      LockOf(child, /*shared=*/false, child_slot);
-    }
-
-    const bool fits = IsLeaf(left)
-                          ? left->count + right->count <= kLeafMax
-                          : left->count + right->count + 1 <= kInnerMax;
-    const int right_slot = right == child ? child_slot : sibling_slot;
-    const int left_slot = left == child ? child_slot : sibling_slot;
-    if (fits && (parent->count >= 2 || at_root)) {
-      if (IsLeaf(left)) {
-        MergeLeaves(parent, left_idx, AsLeaf(left), AsLeaf(right));
-      } else {
-        MergeInners(parent, left_idx, AsInner(left), AsInner(right));
-      }
+    SiblingPair pair;
+    const Rebalanced done = MergeOrRotate(
+        parent, at_root, child, pair, [&](const SiblingPair& p) {
+          if (p.sibling == p.right) {
+            LockOf(p.right, sibling_slot);
+            return;
+          }
+          // Same-level locks must be taken left-to-right: scans couple
+          // rightwards along the leaf chain, so holding `child` while
+          // blocking on its left sibling can deadlock against a scan
+          // holding that sibling shared. Drop the child, lock left, relock.
+          // Safe: every writer path to `child` goes through `parent`, which
+          // we hold, so its state cannot change while unlocked.
+          UnlockOf(child, child_slot);
+          LockOf(p.left, sibling_slot);
+          LockOf(child, child_slot);
+        });
+    const int right_slot = pair.right == child ? child_slot : sibling_slot;
+    const int left_slot = pair.left == child ? child_slot : sibling_slot;
+    if (done == Rebalanced::kMerged) {
       // Nobody can be queued on the victim: reaching it requires the
       // parent or the left sibling, and we hold both exclusively.
-      UnlockOf(right, /*shared=*/false, right_slot);
-      RetireNode(right);
-      UnlockOf(left, /*shared=*/false, left_slot);
-      if (at_root && parent->count == 0) {
-        OPTIQL_CHECK(root_.load(std::memory_order_acquire) == parent);
-        root_.store(left, std::memory_order_release);
-        root_collapses_.fetch_add(1, std::memory_order_relaxed);
-        UnlockOf(parent, /*shared=*/false, parent_slot);
-        RetireNode(parent);
-      } else {
-        UnlockOf(parent, /*shared=*/false, parent_slot);
-      }
+      UnlockOf(pair.right, right_slot);
+      RetireNode(pair.right);
+      UnlockOf(pair.left, left_slot);
+      const bool collapse = at_root && parent->count == 0;
+      if (collapse) CollapseRoot(parent);
+      UnlockOf(parent, parent_slot);
+      if (collapse) RetireNode(parent);
       return true;
     }
-    if (RotationHelps(left->count, right->count,
-                      IsLeaf(left) ? kLeafMin : kInnerMin)) {
-      if (IsLeaf(left)) {
-        Leaf* l = AsLeaf(left);
-        Leaf* r = AsLeaf(right);
-        while (l->count + 1 < r->count) RotateLeafLeft(parent, left_idx, l, r);
-        while (r->count + 1 < l->count) RotateLeafRight(parent, left_idx, l, r);
-      } else {
-        Inner* l = AsInner(left);
-        Inner* r = AsInner(right);
-        while (l->count + 1 < r->count) {
-          RotateInnerLeft(parent, left_idx, l, r);
-        }
-        while (r->count + 1 < l->count) {
-          RotateInnerRight(parent, left_idx, l, r);
-        }
-      }
-      rebalance_borrows_.fetch_add(1, std::memory_order_relaxed);
-      UnlockOf(right, /*shared=*/false, right_slot);
-      UnlockOf(left, /*shared=*/false, left_slot);
-      UnlockOf(parent, /*shared=*/false, parent_slot);
+    if (done == Rebalanced::kRotated) {
+      UnlockOf(pair.right, right_slot);
+      UnlockOf(pair.left, left_slot);
+      UnlockOf(parent, parent_slot);
       return true;
     }
     // No profitable move: release only the sibling and let the descent
     // continue through the still-held parent + child.
-    UnlockOf(left == child ? right : left, /*shared=*/false, sibling_slot);
+    UnlockOf(pair.sibling, sibling_slot);
     return false;
   }
 
   bool IsFull(const NodeBase* node) const {
     return IsLeaf(node) ? node->count == kLeafMax : node->count == kInnerMax;
-  }
-
-  // Splits the (exclusively locked) root into a new root. The old root
-  // remains locked; the new root is published immediately (safe: concurrent
-  // operations re-check root identity after locking).
-  void SplitChildOfNothing(NodeBase* old_root) {
-    NodeBase* right;
-    Key separator;
-    SplitNode(old_root, &right, &separator);
-    PublishSplit(nullptr, old_root, right, separator);
-  }
-
-  // Splits `child` (both `parent` and `child` exclusively locked).
-  NodeBase* SplitChild(Inner* parent, NodeBase* child) {
-    NodeBase* right;
-    Key separator;
-    SplitNode(child, &right, &separator);
-    PublishSplit(parent, child, right, separator);
-    return right;
-  }
-
-  void SplitNode(NodeBase* node, NodeBase** right_out, Key* separator) {
-    if (IsLeaf(node)) {
-      leaf_splits_.fetch_add(1, std::memory_order_relaxed);
-      Leaf* leaf = AsLeaf(node);
-      const uint16_t mid = leaf->count / 2;
-      Leaf* right = new Leaf();
-      live_nodes_.fetch_add(1, std::memory_order_relaxed);
-      right->count = static_cast<uint16_t>(leaf->count - mid);
-      for (uint16_t i = 0; i < right->count; ++i) {
-        right->keys[i] = leaf->keys[mid + i];
-        right->values[i] = leaf->values[mid + i];
-      }
-      leaf->count = mid;
-      right->next = leaf->next;
-      leaf->next = right;
-      *separator = right->keys[0];
-      *right_out = right;
-    } else {
-      inner_splits_.fetch_add(1, std::memory_order_relaxed);
-      Inner* inner = AsInner(node);
-      const uint16_t mid = inner->count / 2;
-      Inner* right = new Inner(inner->level);
-      live_nodes_.fetch_add(1, std::memory_order_relaxed);
-      right->count = static_cast<uint16_t>(inner->count - mid - 1);
-      for (uint16_t i = 0; i < right->count; ++i) {
-        right->keys[i] = inner->keys[mid + 1 + i];
-      }
-      for (uint16_t i = 0; i <= right->count; ++i) {
-        right->children[i] = inner->children[mid + 1 + i];
-      }
-      *separator = inner->keys[mid];
-      inner->count = mid;
-      *right_out = right;
-    }
   }
 
   // --- Maintenance ---
@@ -2112,54 +1943,8 @@ class BTree {
   void TxnRead(const Key& key, TxnReadResult& out) const
     requires(kProtocol != BTreeProtocol::kCoupling)
   {
-    RestartCounter restarts(read_restarts_);
-    while (true) {
-      restarts.Tick();
-      NodeBase* node = root_.load(std::memory_order_acquire);
-      uint64_t v;
-      if (!ReadLockNode(node, v)) continue;
-      if (node != root_.load(std::memory_order_acquire)) continue;
-
-      bool restart = false;
-      while (!IsLeaf(node)) {
-        const Inner* inner = AsInner(node);
-        const uint16_t n = LoadCount(inner, kInnerMax);
-        NodeBase* child = inner->children[inner->ChildIndex(key, n)];
-        PrefetchNodeHeader(child);
-        if (!Validate(inner->lock, v)) {
-          restart = true;
-          break;
-        }
-        uint64_t cv;
-        if (!ReadLockNode(child, cv)) {
-          restart = true;
-          break;
-        }
-        if (!Validate(inner->lock, v)) {
-          restart = true;
-          break;
-        }
-        node = child;
-        v = cv;
-      }
-      if (restart) continue;
-
-      const Leaf* leaf = AsLeaf(node);
-      const uint16_t n = LoadCount(leaf, kLeafMax);
-      const uint16_t pos = leaf->LowerBound(key, n);
-      bool found = false;
-      Value value{};
-      if (pos < n && leaf->keys[pos] == key) {
-        found = true;
-        value = leaf->values[pos];
-      }
-      if (!Validate(leaf->lock, v)) continue;
-      out.found = found;
-      out.value = value;
-      out.lock = &leaf->lock;
-      out.version = v;
-      return;
-    }
+    out.value = Value{};
+    out.found = ReadRecord(key, out.value, &out.lock, &out.version);
   }
 
   // Exclusive record hold for the transaction layer. Non-owning guards
@@ -2228,9 +2013,8 @@ class BTree {
         guard.Unlock(/*installed=*/false);
         continue;
       }
-      const uint16_t n = LoadCount(leaf, kLeafMax);
-      const uint16_t pos = leaf->LowerBound(key, n);
-      if (pos < n && leaf->keys[pos] == key) {
+      uint16_t pos;
+      if (leaf->Find(key, pos)) {
         guard.pos_ = pos;
         return TxnLockStatus::kAcquired;
       }
@@ -2254,9 +2038,8 @@ class BTree {
     }
     uint64_t v;
     if (!LeafOps::StableVersion(leaf->lock, v)) return TxnLockStatus::kBusy;
-    const uint16_t n = LoadCount(leaf, kLeafMax);
-    const uint16_t pos = leaf->LowerBound(key, n);
-    const bool found = pos < n && leaf->keys[pos] == key;
+    uint16_t pos;
+    const bool found = leaf->Find(key, pos);
     if (!LeafOps::ValidateVersion(leaf->lock, v)) return TxnLockStatus::kBusy;
     if (!found) return TxnLockStatus::kAbsent;
     if (!LeafOps::TryUpgrade(leaf->lock, v, slot, guard.handle_)) {
@@ -2279,48 +2062,15 @@ class BTree {
 
  private:
   // Descends to the leaf covering `key` WITHOUT reading the leaf's own
-  // version word — the caller may already hold that leaf exclusively, and
-  // a version read would spin on our own lock. The returned pointer is
-  // parent-validated: the last inner's separators were read under a
-  // validated version, so the leaf covered `key` at that instant.
+  // version word: the caller may already hold that leaf exclusively, and a
+  // version read would spin on our own lock. The returned pointer is
+  // parent-validated (see ReadLockLeaf).
   Leaf* TxnDescendToLeaf(const Key& key) const
     requires(kProtocol != BTreeProtocol::kCoupling)
   {
-    while (true) {
-      NodeBase* node = root_.load(std::memory_order_acquire);
-      // Root-is-leaf short-circuit before any version read (we might hold
-      // the root leaf); a stale root is caught by the caller's
-      // obsolete/coverage checks.
-      if (IsLeaf(node)) return AsLeaf(node);
-      uint64_t v;
-      if (!ReadLockNode(node, v)) continue;
-      if (node != root_.load(std::memory_order_acquire)) continue;
-
-      bool restart = false;
-      while (!restart) {
-        const Inner* inner = AsInner(node);
-        const uint16_t n = LoadCount(inner, kInnerMax);
-        NodeBase* child = inner->children[inner->ChildIndex(key, n)];
-        PrefetchNodeHeader(child);
-        if (!Validate(inner->lock, v)) {
-          restart = true;
-          break;
-        }
-        // `child` is now trustworthy; its level field is immutable.
-        if (IsLeaf(child)) return AsLeaf(child);
-        uint64_t cv;
-        if (!ReadLockNode(child, cv)) {
-          restart = true;
-          break;
-        }
-        if (!Validate(inner->lock, v)) {
-          restart = true;
-          break;
-        }
-        node = child;
-        v = cv;
-      }
-    }
+    ReadHold parent_hold;
+    return ReadLockLeaf</*kEnterLeaf=*/false>(key, /*restarts=*/nullptr,
+                                              parent_hold);
   }
 
   // Completes a guard over a leaf this transaction already holds: the leaf
@@ -2329,9 +2079,8 @@ class BTree {
                               TxnWriteGuard& guard) {
     guard.leaf_ = leaf;
     guard.owns_ = false;
-    const uint16_t n = LoadCount(leaf, kLeafMax);
-    const uint16_t pos = leaf->LowerBound(key, n);
-    if (pos < n && leaf->keys[pos] == key) {
+    uint16_t pos;
+    if (leaf->Find(key, pos)) {
       guard.pos_ = pos;
       return TxnLockStatus::kAcquired;
     }

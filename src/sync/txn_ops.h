@@ -2,9 +2,8 @@
 // family the indexes use. Before this header, each consumer of a lock's
 // version word or exclusive mode spoke a private dialect: the B+-tree
 // policies called AcquireSh/ReleaseSh member pairs directly, the coupling
-// trees went through a PessimisticOps facade, Guarded<> duck-typed the
-// qnode-vs-plain AcquireEx split, and a transaction layer could not be
-// written once at all. TxnOps gives every family the same spellings:
+// trees went through a PessimisticOps facade, and a transaction layer could
+// not be written once at all. TxnOps gives every family the same spellings:
 //
 //   Optimistic read (versioned families: OptLock, OptiQL, OptiCLH)
 //     StableVersion(lock, v)     snapshot the word; false = locked/retired
